@@ -104,26 +104,74 @@ Status DecoLocalNode::HandleCrash() {
 
 bool DecoLocalNode::PullIntoRetained() {
   if (source_->exhausted()) return false;
-  EventVec batch;
-  TimeNanos create_time = 0;
-  const size_t pulled =
-      source_->Pull(ingest_config_.batch_size, &batch, &create_time);
-  if (pulled == 0) return false;
-  for (const Event& e : batch) {
-    retained_.push_back(TimedEvent{e, static_cast<double>(create_time)});
+  RetainedBatch batch;
+  if (!spare_batches_.empty()) {
+    batch.events = std::move(spare_batches_.back());
+    spare_batches_.pop_back();
   }
+  const size_t pulled = source_->Pull(ingest_config_.batch_size,
+                                      &batch.events, &batch.create_nanos);
+  if (pulled == 0) return false;
+  retained_size_ += pulled;
+  retained_.push_back(std::move(batch));
   return true;
 }
 
-size_t DecoLocalNode::TakeRegion(size_t want, std::vector<TimedEvent>* out) {
-  size_t served = 0;
-  while (served < want) {
-    if (cursor_ == retained_.size() && !PullIntoRetained()) break;
-    out->push_back(retained_[cursor_]);
-    ++cursor_;
-    ++served;
+size_t DecoLocalNode::DropThrough(const EventKey& wm, size_t limit) {
+  size_t dropped = 0;
+  while (!retained_.empty() && dropped < limit) {
+    EventVec& events = retained_.front().events;
+    while (retained_head_ < events.size() && dropped < limit &&
+           EventKey::Of(events[retained_head_]) <= wm) {
+      ++retained_head_;
+      ++dropped;
+    }
+    if (retained_head_ < events.size()) break;
+    // Front batch drained: keep its buffer for a later pull.
+    if (spare_batches_.size() < kMaxSpareBatches) {
+      events.clear();
+      spare_batches_.push_back(std::move(events));
+    }
+    retained_.pop_front();
+    retained_head_ = 0;
   }
-  return served;
+  retained_size_ -= dropped;
+  return dropped;
+}
+
+std::pair<size_t, size_t> DecoLocalNode::TakeRegion(size_t want) {
+  const size_t begin = cursor_;
+  while (retained_size_ - cursor_ < want && PullIntoRetained()) {
+  }
+  cursor_ += std::min(want, retained_size_ - cursor_);
+  return {begin, cursor_};
+}
+
+template <typename Fn>
+void DecoLocalNode::ForEachRun(size_t begin, size_t end, Fn&& fn) const {
+  size_t skip = retained_head_ + begin;  // events to pass over first
+  for (const RetainedBatch& batch : retained_) {
+    if (begin == end) break;
+    const size_t n = batch.events.size();
+    if (skip >= n) {
+      skip -= n;
+      continue;
+    }
+    const size_t run = std::min(n - skip, end - begin);
+    fn(batch.events.data() + skip, run, batch.create_nanos);
+    begin += run;
+    skip = 0;
+  }
+}
+
+void DecoLocalNode::CopyRegion(size_t begin, size_t end, EventVec* out,
+                               Message* msg) const {
+  out->reserve(out->size() + (end - begin));
+  ForEachRun(begin, end,
+             [&](const Event* first, size_t n, TimeNanos create_nanos) {
+               out->insert(out->end(), first, first + n);
+               msg->MergeLatencyMeta(static_cast<double>(create_nanos), n);
+             });
 }
 
 Status DecoLocalNode::BroadcastPeerRate(uint64_t w, bool end_of_stream) {
@@ -183,6 +231,23 @@ Status DecoLocalNode::SendRateReport(uint64_t w) {
   return SendOrCrash(std::move(msg));
 }
 
+Status DecoLocalNode::ShipRawRegion(uint64_t w, BatchRole role,
+                                    size_t want) {
+  const auto [begin, end] = TakeRegion(want);
+  EventBatchPayload payload;
+  payload.role = role;
+  Message msg;
+  CopyRegion(begin, end, &payload.events, &msg);
+  BinaryWriter writer;
+  EncodeEventBatch(payload, &writer);
+  msg.type = MessageType::kEventBatch;
+  msg.dst = topology_.root;
+  msg.window_index = w;
+  msg.epoch = epoch_;
+  msg.payload = writer.Release();
+  return SendOrCrash(std::move(msg));
+}
+
 Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
   DECO_TRACE_SPAN_MSG(id_, TracePhase::kWindowOpen, w,
                       static_cast<int64_t>(plan.front_buffer + plan.slice +
@@ -191,30 +256,7 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
   LocalWindowsProducedCounter()->Increment();
   // Front buffer (async layout only; empty plans ship nothing).
   if (plan.front_buffer > 0) {
-    std::vector<TimedEvent> front;
-    TakeRegion(plan.front_buffer, &front);
-    EventBatchPayload payload;
-    payload.role = BatchRole::kFront;
-    payload.from_offset = 0;
-    payload.events.reserve(front.size());
-    Message msg;
-    double create_sum = 0.0;
-    for (const TimedEvent& te : front) {
-      payload.events.push_back(te.event);
-      create_sum += te.create_nanos;
-    }
-    if (!front.empty()) {
-      msg.MergeLatencyMeta(create_sum / static_cast<double>(front.size()),
-                           front.size());
-    }
-    BinaryWriter writer;
-    EncodeEventBatch(payload, &writer);
-    msg.type = MessageType::kEventBatch;
-    msg.dst = topology_.root;
-    msg.window_index = w;
-    msg.epoch = epoch_;
-    msg.payload = writer.Release();
-    DECO_RETURN_NOT_OK(SendOrCrash(std::move(msg)));
+    DECO_RETURN_NOT_OK(ShipRawRegion(w, BatchRole::kFront, plan.front_buffer));
   }
 
   // Slice: incremental local aggregation (the decentralized work). With a
@@ -222,39 +264,39 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
   // aggregate slot in the same pass; slot 0 rides in the summary's
   // `partial` exactly as before, the others travel as tagged extras.
   {
-    std::vector<TimedEvent> slice_events;
-    slice_events.reserve(plan.slice);
-    TakeRegion(plan.slice, &slice_events);
+    const auto [begin, end] = TakeRegion(plan.slice);
+    const size_t count = end - begin;
     SliceSummary summary;
     Message msg;
-    double create_sum = 0.0;
+    // Accumulated in place, one contiguous batch run at a time.
     if (serve_ != nullptr) {
       slice_store_.BeginPane(w);
-      for (const TimedEvent& te : slice_events) {
-        slice_store_.Accumulate(te.event.value);
-        create_sum += te.create_nanos;
-      }
-      summary.partial = slice_store_.primary();
-      summary.extras = slice_store_.TakeExtras();
     } else {
       summary.partial = func_->CreatePartial();
-      for (const TimedEvent& te : slice_events) {
-        func_->Accumulate(&summary.partial, te.event.value);
-        create_sum += te.create_nanos;
+    }
+    const Event* last = nullptr;
+    ForEachRun(begin, end, [&](const Event* first, size_t n,
+                               TimeNanos create_nanos) {
+      if (last == nullptr) summary.min_ts = first->timestamp;
+      if (serve_ != nullptr) {
+        for (size_t i = 0; i < n; ++i) slice_store_.Accumulate(first[i].value);
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          func_->Accumulate(&summary.partial, first[i].value);
+        }
       }
+      last = first + n - 1;
+      msg.MergeLatencyMeta(static_cast<double>(create_nanos), n);
+    });
+    if (serve_ != nullptr) {
+      summary.partial = slice_store_.primary();
+      summary.extras = slice_store_.TakeExtras();
     }
-    if (!slice_events.empty()) {
-      msg.MergeLatencyMeta(
-          create_sum / static_cast<double>(slice_events.size()),
-          slice_events.size());
-    }
-    summary.event_count = slice_events.size();
-    if (!slice_events.empty()) {
-      summary.min_ts = slice_events.front().event.timestamp;
-      const Event& last = slice_events.back().event;
-      summary.max_ts = last.timestamp;
-      summary.max_stream_id = last.stream_id;
-      summary.max_event_id = last.id;
+    summary.event_count = count;
+    if (last != nullptr) {
+      summary.max_ts = last->timestamp;
+      summary.max_stream_id = last->stream_id;
+      summary.max_event_id = last->id;
     }
     summary.event_rate = source_->TotalRate();
     BinaryWriter writer;
@@ -264,8 +306,8 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
       for (const SlotPartial& extra : summary.extras) {
         extras_bytes += SlotPartialWireSize(extra);
       }
-      accounting_.OnSlice(w, writer.buffer().size() - extras_bytes,
-                          slice_events.size(), summary.extras);
+      accounting_.OnSlice(w, writer.buffer().size() - extras_bytes, count,
+                          summary.extras);
     }
     msg.type = MessageType::kPartialResult;
     msg.dst = topology_.root;
@@ -276,34 +318,10 @@ Status DecoLocalNode::ProduceWindow(uint64_t w, const SlicePlan& plan) {
   }
 
   // End buffer: raw edge region for exact cut resolution at the root.
-  {
-    std::vector<TimedEvent> end;
-    TakeRegion(plan.end_buffer, &end);
-    EventBatchPayload payload;
-    payload.role = BatchRole::kEnd;
-    payload.events.reserve(end.size());
-    Message msg;
-    double create_sum = 0.0;
-    for (const TimedEvent& te : end) {
-      payload.events.push_back(te.event);
-      create_sum += te.create_nanos;
-    }
-    if (!end.empty()) {
-      msg.MergeLatencyMeta(create_sum / static_cast<double>(end.size()),
-                           end.size());
-    }
-    BinaryWriter writer;
-    EncodeEventBatch(payload, &writer);
-    msg.type = MessageType::kEventBatch;
-    msg.dst = topology_.root;
-    msg.window_index = w;
-    msg.epoch = epoch_;
-    msg.payload = writer.Release();
-    DECO_RETURN_NOT_OK(SendOrCrash(std::move(msg)));
-  }
+  DECO_RETURN_NOT_OK(ShipRawRegion(w, BatchRole::kEnd, plan.end_buffer));
 
   // End-of-stream marker once the budget is exhausted and fully shipped.
-  if (source_->exhausted() && cursor_ == retained_.size() && !eos_sent_) {
+  if (source_->exhausted() && cursor_ == retained_size_ && !eos_sent_) {
     eos_sent_ = true;
     Message msg;
     msg.type = MessageType::kShutdown;
@@ -334,15 +352,12 @@ Status DecoLocalNode::HandleControl(const Message& msg) {
       }
       if (msg.epoch > epoch_) {
         awaiting_rejoin_ = false;
-        // Correction rollback (paper Â§4.3.2): the corrected window was
+        // Correction rollback (paper §4.3.2): the corrected window was
         // assembled from the *complete* candidate streams, so every
         // retained event at or below its watermark was consumed exactly
         // once and must be dropped; everything after it is re-planned
         // from scratch.
-        while (!retained_.empty() &&
-               EventKey::Of(retained_.front().event) <= wm) {
-          retained_.pop_front();
-        }
+        DropThrough(wm, retained_size_);
         epoch_ = msg.epoch;
         cursor_ = 0;
         rolled_back_ = true;
@@ -359,14 +374,9 @@ Status DecoLocalNode::HandleControl(const Message& msg) {
         // be lost for future correction resends. For a verified window the
         // cut-bounding checks guarantee no such event exists, so the guard
         // is a defensive invariant.
-        size_t dropped = 0;
-        while (!retained_.empty() && dropped < cursor_ &&
-               EventKey::Of(retained_.front().event) <= wm) {
-          retained_.pop_front();
-          ++dropped;
-        }
-        if (!retained_.empty() && dropped == cursor_ &&
-            EventKey::Of(retained_.front().event) <= wm) {
+        const size_t dropped = DropThrough(wm, cursor_);
+        if (retained_size_ > 0 && dropped == cursor_ &&
+            EventKey::Of(retained_.front().events[retained_head_]) <= wm) {
           DECO_LOG(DEBUG) << "local " << id_
                           << ": watermark reaches beyond produced events";
         }
@@ -440,12 +450,7 @@ Status DecoLocalNode::HandleCorrectionRequest(const Message& msg) {
   // windows from our pre-crash contributions, so resending events at or
   // below the watermark would double-count them.
   const EventKey wm{request.wm_ts, request.wm_stream, request.wm_id};
-  size_t wm_dropped = 0;
-  while (!retained_.empty() &&
-         EventKey::Of(retained_.front().event) <= wm) {
-    retained_.pop_front();
-    ++wm_dropped;
-  }
+  const size_t wm_dropped = DropThrough(wm, retained_size_);
   if (wm_dropped > 0) {
     cursor_ = cursor_ > wm_dropped ? cursor_ - wm_dropped : 0;
     DECO_LOG(DEBUG) << "local " << id_ << ": correction watermark dropped "
@@ -458,37 +463,21 @@ Status DecoLocalNode::HandleCorrectionRequest(const Message& msg) {
   if (request.topup_events == 0) {
     DECO_LOG(DEBUG) << "local " << id_ << ": correction w"
                     << request.window_index << " resend retained="
-                    << retained_.size() << " cursor=" << cursor_
+                    << retained_size_ << " cursor=" << cursor_
                     << " pos=" << source_->position();
     // Full retained region of the unverified windows.
-    response.from_offset = source_->position() - retained_.size();
-    response.events.reserve(retained_.size());
-    double create_sum = 0.0;
-    for (const TimedEvent& te : retained_) {
-      response.events.push_back(te.event);
-      create_sum += te.create_nanos;
-    }
-    if (!retained_.empty()) {
-      out.MergeLatencyMeta(
-          create_sum / static_cast<double>(retained_.size()),
-          retained_.size());
-    }
+    response.from_offset = source_->position() - retained_size_;
+    CopyRegion(0, retained_size_, &response.events, &out);
   } else {
-    // Top-up: extend the retained region with fresh events.
+    // Top-up: extend the retained region with fresh events. Pulls add
+    // whole ingest batches; ship everything added so the root's candidate
+    // list mirrors the retained events.
     response.from_offset = source_->position();
-    const size_t before = retained_.size();
-    while (retained_.size() - before < request.topup_events) {
+    const size_t before = retained_size_;
+    while (retained_size_ - before < request.topup_events) {
       if (!PullIntoRetained()) break;
     }
-    const size_t added =
-        std::min<size_t>(retained_.size() - before, request.topup_events);
-    // Note: PullIntoRetained adds whole ingest batches; ship everything
-    // that was added so the root's candidate list mirrors `retained_`.
-    (void)added;
-    for (size_t i = before; i < retained_.size(); ++i) {
-      response.events.push_back(retained_[i].event);
-      out.MergeLatencyMeta(retained_[i].create_nanos, 1);
-    }
+    CopyRegion(before, retained_size_, &response.events, &out);
   }
   response.end_of_stream = source_->exhausted();
   DECO_TRACE_SPAN_MSG(id_, TracePhase::kCorrect, request.window_index,
@@ -609,7 +598,7 @@ Status DecoLocalNode::Run() {
       if (crashed_ || rolled_back_) continue;
     }
 
-    if (source_->exhausted() && cursor_ == retained_.size()) {
+    if (source_->exhausted() && cursor_ == retained_size_) {
       // Everything produced and shipped; tell the root and stay responsive
       // for corrections until it shuts us down.
       if (options_.peer_rate_exchange && !peer_eos_sent_) {

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <map>
+#include <utility>
 
 #include "deco/assembler.h"
 #include "deco/planner.h"
@@ -83,13 +84,41 @@ class DecoLocalNode final : public Actor {
   Status Run() override;
 
  private:
-  /// Serves `want` events from the retained deque (pulling fresh events
-  /// from the generator as needed); returns the count actually served
-  /// (less than `want` only at end of stream).
-  size_t TakeRegion(size_t want, std::vector<TimedEvent>* out);
+  /// One pulled ingest batch. All its events share the pull's creation
+  /// stamp, so latency needs no per-event record.
+  struct RetainedBatch {
+    EventVec events;
+    TimeNanos create_nanos = 0;
+  };
 
-  /// Pulls one ingest batch into the retained deque; false at EOS.
+  /// Assigns the next `want` retained events to a region (pulling fresh
+  /// batches as needed) and returns the region as the index range
+  /// [begin, end) into the retained events; shorter than `want` only at
+  /// end of stream. Nothing is copied.
+  std::pair<size_t, size_t> TakeRegion(size_t want);
+
+  /// Calls `fn(const Event* first, size_t count, TimeNanos create_nanos)`
+  /// once per contiguous batch run of the retained range [begin, end).
+  template <typename Fn>
+  void ForEachRun(size_t begin, size_t end, Fn&& fn) const;
+
+  /// Copies the retained range [begin, end) into `out` and folds the
+  /// runs' creation stamps into `msg`'s latency side channel.
+  void CopyRegion(size_t begin, size_t end, EventVec* out,
+                  Message* msg) const;
+
+  /// Pulls one ingest batch into the retained batches, reusing a spare
+  /// buffer when one is free; false at EOS.
   bool PullIntoRetained();
+
+  /// Drops retained events from the front while their key is at or below
+  /// `wm`, at most `limit` of them; recycles drained batch buffers and
+  /// returns the number dropped.
+  size_t DropThrough(const EventKey& wm, size_t limit);
+
+  /// Takes the next `want` events as a raw buffer region of window `w`
+  /// and ships it as a `role` event batch.
+  Status ShipRawRegion(uint64_t w, BatchRole role, size_t want);
 
   /// Produces and ships the three regions of window `w`.
   Status ProduceWindow(uint64_t w, const SlicePlan& plan);
@@ -146,9 +175,18 @@ class DecoLocalNode final : public Actor {
   // constructor query's protocol window length.
   uint64_t pane_length_ = 0;
 
-  // Raw events not yet covered by a root watermark, in stream order.
-  std::deque<TimedEvent> retained_;
-  // Index into `retained_` of the first event not yet assigned to a region.
+  // Raw events not yet covered by a root watermark, in stream order: the
+  // ingest batches as pulled, minus the first `retained_head_` events of
+  // the front batch (already dropped). `retained_size_` counts the events.
+  std::deque<RetainedBatch> retained_;
+  size_t retained_head_ = 0;
+  size_t retained_size_ = 0;
+  // Drained batch buffers the next pulls refill; at most
+  // `kMaxSpareBatches`, so memory tracks the live region.
+  static constexpr size_t kMaxSpareBatches = 2;
+  std::vector<EventVec> spare_batches_;
+  // Index into the retained events of the first one not yet assigned to a
+  // region.
   size_t cursor_ = 0;
 
   // Latest assignment state.

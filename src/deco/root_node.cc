@@ -611,7 +611,7 @@ Status DecoRootNode::FinishWindow(const WindowAssembly& assembly,
   DECO_RETURN_NOT_OK(EmitProtocolWindow(assembly, corrected));
 
   // Feed the predictors with the paper's rate-derived actual sizes
-  // (Â§4.2.2): a verified window's consumed counts are capped to the plan
+  // (§4.2.2): a verified window's consumed counts are capped to the plan
   // by construction, so they cannot reflect true drift.
   bool have_rates = true;
   for (size_t n = 0; n < topology_.num_locals(); ++n) {

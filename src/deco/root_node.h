@@ -148,7 +148,7 @@ class DecoRootNode final : public Actor {
 
   // Latest instantaneous event rate reported by each node (via rate
   // reports and slice summaries). The paper derives "actual local window
-  // sizes" from these rates (Â§4.2.2); feeding the predictor with
+  // sizes" from these rates (§4.2.2); feeding the predictor with
   // rate-apportioned estimates (instead of the verification-capped
   // consumed counts) keeps the delta tracking true drift.
   std::vector<double> latest_rates_;

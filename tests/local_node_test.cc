@@ -16,7 +16,8 @@ class LocalNodeProtocolTest : public ::testing::Test {
   static constexpr double kRate = 100'000.0;
 
   void Start(DecoScheme scheme, uint64_t events = 50'000,
-             DecoLocalOptions options = {}) {
+             DecoLocalOptions options = {}, size_t batch_size = 512,
+             Clock* clock = SystemClock::Default()) {
     fabric_ = std::make_unique<NetworkFabric>(SystemClock::Default(), 3);
     topology_.root = fabric_->RegisterNode("root");
     topology_.locals = {fabric_->RegisterNode("local")};
@@ -29,14 +30,14 @@ class LocalNodeProtocolTest : public ::testing::Test {
     stream.seed = 5;
     ingest.streams.push_back(stream);
     ingest.events_to_produce = events;
-    ingest.batch_size = 512;
+    ingest.batch_size = batch_size;
 
     QueryConfig query;
     query.window = WindowSpec::CountTumbling(10'000);
 
     local_ = std::make_unique<DecoLocalNode>(
-        fabric_.get(), topology_.locals[0], SystemClock::Default(),
-        topology_, ingest, query, scheme, options);
+        fabric_.get(), topology_.locals[0], clock, topology_, ingest, query,
+        scheme, options);
     local_->Start();
   }
 
@@ -83,6 +84,16 @@ class LocalNodeProtocolTest : public ::testing::Test {
     msg.epoch = epoch;
     msg.payload = writer.Release();
     ASSERT_TRUE(fabric_->Send(std::move(msg)).ok());
+  }
+
+  // Decodes the next correction response.
+  CorrectionResponse ReceiveCorrection(Message* msg) {
+    auto received = ReceiveOfType(MessageType::kCorrectionResult);
+    EXPECT_TRUE(received.has_value());
+    if (!received.has_value()) return {};
+    *msg = std::move(*received);
+    BinaryReader reader(msg->payload);
+    return DecodeCorrectionResponse(&reader).value();
   }
 
   void SendCorrectionRequest(uint64_t w, uint64_t topup, uint64_t epoch) {
@@ -347,6 +358,156 @@ TEST_F(LocalNodeProtocolTest, RollbackTrimsConsumedEventsExactly) {
   const CorrectionResponse resend =
       DecodeCorrectionResponse(&resend_reader).value();
   EXPECT_EQ(resend.from_offset, 4950u);
+}
+
+// Batch-boundary coverage: with ingest batch 7 and window 20 (coprime),
+// regions, watermark drops, rollbacks and correction regions all start and
+// end mid-batch. The test holds a manual clock and moves it before each
+// step, so every batch pulled in a step carries that step's creation stamp;
+// each region's latency side channel must equal the per-event mean of its
+// events' stamps, and every shipped event must be the next one in the
+// stream (single stream: an event's id is its stream offset).
+class LocalNodeBatchBoundaryTest : public LocalNodeProtocolTest {
+ protected:
+  static constexpr size_t kBatch = 7;
+  static constexpr uint64_t kBudget = 100;  // 14 full batches + 2 events
+
+  // Creation stamp of each pulled batch, in pull order (see the steps).
+  static constexpr TimeNanos kBatchStamps[] = {
+      1000, 1000, 1000, 1000, 2000, 2000, 2000, 3000,
+      3000, 5000, 5000, 6000, 6000, 6000, 6000};
+
+  // Per-event mean creation time of stream offsets [from, to).
+  static double PerEventMean(uint64_t from, uint64_t to) {
+    double sum = 0.0;
+    for (uint64_t k = from; k < to; ++k) {
+      sum += static_cast<double>(kBatchStamps[k / kBatch]);
+    }
+    return sum / static_cast<double>(to - from);
+  }
+
+  static void ExpectLatency(const Message& msg, uint64_t from, uint64_t to) {
+    EXPECT_EQ(msg.lat_event_count, to - from) << "[" << from << "," << to
+                                              << ")";
+    if (to > from) {
+      EXPECT_NEAR(msg.lat_mean_create_nanos, PerEventMean(from, to), 1.0)
+          << "[" << from << "," << to << ")";
+    }
+  }
+
+  static void ExpectEvents(const EventVec& events, uint64_t from,
+                           uint64_t to) {
+    ASSERT_EQ(events.size(), to - from) << "[" << from << "," << to << ")";
+    for (size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].id, from + i);
+    }
+  }
+
+  // Receives window `w`'s sync slice and end buffer and checks they cover
+  // offsets [from, from + 17) and [from + 17, from + 23).
+  void ExpectSyncWindow(uint64_t w, uint64_t from) {
+    auto slice = ReceiveOfType(MessageType::kPartialResult);
+    ASSERT_TRUE(slice.has_value());
+    EXPECT_EQ(slice->window_index, w);
+    BinaryReader reader(slice->payload);
+    const SliceSummary summary = DecodeSliceSummary(&reader).value();
+    EXPECT_EQ(summary.event_count, 17u);
+    EXPECT_EQ(summary.max_event_id, from + 16);
+    ExpectLatency(*slice, from, from + 17);
+
+    auto end = ReceiveOfType(MessageType::kEventBatch);
+    ASSERT_TRUE(end.has_value());
+    EXPECT_EQ(end->window_index, w);
+    BinaryReader end_reader(end->payload);
+    const EventBatchPayload batch = DecodeEventBatch(&end_reader).value();
+    EXPECT_EQ(batch.role, BatchRole::kEnd);
+    ExpectEvents(batch.events, from + 17, from + 23);
+    ExpectLatency(*end, from + 17, from + 23);
+  }
+
+  // Sets the clock to the creation stamp the next pulls get.
+  void At(TimeNanos t) { clock_.SetNanos(t); }
+
+  ManualClock clock_{1000};
+};
+
+TEST_F(LocalNodeBatchBoundaryTest, RegionsSpanBatchesWithBatchStamps) {
+  Start(DecoScheme::kSync, kBudget, {}, kBatch, &clock_);
+  ASSERT_TRUE(ReceiveOfType(MessageType::kEventRate).has_value());
+  // Sync layout for size 20, delta 3: slice 17 + end buffer 6.
+
+  // Window 0 pulls batches 0-3 (offsets 0-27) at t=1000.
+  SendAssignment(0, 20, 3);
+  ExpectSyncWindow(0, 0);
+
+  // Keep the end buffer's events: their keys are the watermarks below.
+  SendCorrectionRequest(0, 0, /*epoch=*/1);
+  Message msg;
+  CorrectionResponse response = ReceiveCorrection(&msg);
+  ExpectEvents(response.events, 0, 28);
+  ExpectLatency(msg, 0, 28);
+  const Event e19 = response.events[19];
+
+  // Window 1: the watermark drops offsets 0-19 (batches 0 and 1 drained,
+  // batch 2 cut mid-way); the region 23-45 straddles batch 3 (t=1000) and
+  // batches 4-6 pulled at t=2000.
+  At(2000);
+  SendAssignment(1, 20, 3, /*epoch=*/0,
+                 EventKey{e19.timestamp, e19.stream_id, e19.id});
+  ExpectSyncWindow(1, 23);
+
+  // Full resend: everything retained, from mid-batch offset 20.
+  At(3000);
+  SendCorrectionRequest(1, 0, /*epoch=*/1);
+  response = ReceiveCorrection(&msg);
+  EXPECT_EQ(response.from_offset, 20u);
+  ExpectEvents(response.events, 20, 49);
+  ExpectLatency(msg, 20, 49);
+  const Event e30 = response.events[10];
+  ASSERT_EQ(e30.id, 30u);
+
+  // Top-up into recycled buffers: two whole batches (49-62) at t=3000.
+  SendCorrectionRequest(1, 10, /*epoch=*/1);
+  response = ReceiveCorrection(&msg);
+  EXPECT_EQ(response.from_offset, 49u);
+  ExpectEvents(response.events, 49, 63);
+  ExpectLatency(msg, 49, 63);
+  EXPECT_FALSE(response.end_of_stream);
+
+  // Rollback to offset 30 (mid-batch 4): window 1 is re-planned from 31
+  // without pulling; its end buffer straddles t=2000 and t=3000 batches.
+  At(4000);
+  SendAssignment(1, 20, 3, /*epoch=*/1,
+                 EventKey{e30.timestamp, e30.stream_id, e30.id});
+  ExpectSyncWindow(1, 31);
+
+  // Window 2: offsets 54-62 were pulled at t=3000, 63-76 at t=5000.
+  At(5000);
+  SendAssignment(2, 20, 3, /*epoch=*/1);
+  ExpectSyncWindow(2, 54);
+
+  // Window 3 ends exactly at the budget, in the short final batch (98-99).
+  At(6000);
+  SendAssignment(3, 20, 3, /*epoch=*/1);
+  ExpectSyncWindow(3, 77);
+  EXPECT_TRUE(ReceiveOfType(MessageType::kShutdown).has_value());
+
+  // Resend after the budget end: every retained batch run, short one
+  // included; a top-up finds nothing left.
+  At(7000);
+  SendCorrectionRequest(3, 0, /*epoch=*/2);
+  response = ReceiveCorrection(&msg);
+  EXPECT_EQ(response.from_offset, 31u);
+  ExpectEvents(response.events, 31, kBudget);
+  ExpectLatency(msg, 31, kBudget);
+  EXPECT_TRUE(response.end_of_stream);
+
+  SendCorrectionRequest(3, 5, /*epoch=*/2);
+  response = ReceiveCorrection(&msg);
+  EXPECT_EQ(response.from_offset, kBudget);
+  EXPECT_TRUE(response.events.empty());
+  EXPECT_EQ(msg.lat_event_count, 0u);
+  EXPECT_TRUE(response.end_of_stream);
 }
 
 }  // namespace

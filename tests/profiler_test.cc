@@ -189,6 +189,38 @@ TEST(ProfilerHarnessTest, EnabledRunAttributesEveryActorThread) {
   }
 }
 
+// Regression guard for the Deco local's data path: retained events stay in
+// the pulled ingest batches (recycled once drained) and regions are read in
+// place, so a local thread allocates per message, not per event. A
+// per-event container (a deque of copied events) costs ~84 allocations per
+// 1000 events; the budget is 5.
+TEST(ProfilerHarnessTest, DecoLocalAllocatesPerMessageNotPerEvent) {
+  if (!AllocCountingCompiledIn()) {
+    GTEST_SKIP() << "built with DECO_PROFILE_ALLOC=OFF";
+  }
+  ExperimentConfig config = SmallConfig(Scheme::kDecoAsync);
+  // Enough events per local that per-run fixed allocations amortise.
+  config.query.window = WindowSpec::CountTumbling(40'000);
+  config.events_per_local = 400'000;
+  config.batch_size = 4096;
+  config.rate_change = 0.01;
+  config.profile.enabled = true;
+  auto result = RunExperiment(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->profile.alloc_counted);
+
+  int locals = 0;
+  for (const ThreadProfile& t : result->profile.threads) {
+    if (t.name.rfind("local-", 0) != 0) continue;
+    ++locals;
+    const double per_kevent = 1000.0 * static_cast<double>(t.allocations) /
+                              static_cast<double>(config.events_per_local);
+    EXPECT_LE(per_kevent, 5.0) << t.name << ": " << t.allocations
+                               << " allocations";
+  }
+  EXPECT_EQ(locals, 2);
+}
+
 TEST(ProfilerHarnessTest, ProfileSurfacesInRunReportJson) {
   ExperimentConfig config = SmallConfig(Scheme::kCentral);
   config.profile.enabled = true;

@@ -249,11 +249,6 @@ ChaosSchedule& ChaosSchedule::Add(FaultEvent event) {
   return *this;
 }
 
-ChaosSchedule& ChaosSchedule::WithSeed(uint64_t seed) {
-  seed_ = seed;
-  return *this;
-}
-
 Result<ChaosSchedule> ChaosSchedule::Parse(const std::string& spec) {
   ChaosSchedule schedule;
   size_t start = 0;

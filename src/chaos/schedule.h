@@ -8,7 +8,7 @@
 #include "common/result.h"
 
 /// \file schedule.h
-/// \brief Declarative, seeded fault timelines for chaos experiments.
+/// \brief Declarative fault timelines for chaos experiments.
 ///
 /// A `ChaosSchedule` is a list of `FaultEvent`s, each anchored at an offset
 /// from experiment start. Schedules are pure data: building one has no side
@@ -68,7 +68,7 @@ struct FaultEvent {
   std::string ToSpec() const;
 };
 
-/// \brief A seeded timeline of fault events.
+/// \brief A timeline of fault events.
 class ChaosSchedule {
  public:
   /// Fluent builders; `at` is the offset from experiment start.
@@ -83,7 +83,6 @@ class ChaosSchedule {
   ChaosSchedule& RateSurge(const std::string& target, TimeNanos at,
                            TimeNanos duration, double factor);
   ChaosSchedule& Add(FaultEvent event);
-  ChaosSchedule& WithSeed(uint64_t seed);
 
   /// \brief Parses the compact spec grammar (see file comment). Returns
   /// InvalidArgument with a pointer at the offending token on bad input.
@@ -100,11 +99,9 @@ class ChaosSchedule {
 
   const std::vector<FaultEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
-  uint64_t seed() const { return seed_; }
 
  private:
   std::vector<FaultEvent> events_;
-  uint64_t seed_ = 0;
 };
 
 }  // namespace deco

@@ -10,15 +10,10 @@
 #include <vector>
 
 /// \file queue.h
-/// \brief Blocking multi-producer queues used as actor mailboxes and channel
-/// backends.
-///
-/// Two flavours:
-///  - `BlockingQueue<T>`: unbounded MPMC queue with close semantics;
-///  - `BoundedQueue<T>`: capacity-bounded variant that blocks producers,
-///    which is how backpressure propagates through the node runtime
-///    (Section 4.3.1 of the paper: queue like Kafka, trade delay for
-///    correctness).
+/// \brief Unbounded blocking MPMC queue with close semantics, used as actor
+/// mailboxes and channel backends. Backpressure is not the queue's job: the
+/// fabric's flow control (`NetworkFabric::SetFlowControlLimit`) blocks
+/// senders.
 
 namespace deco {
 
@@ -116,76 +111,6 @@ class BlockingQueue {
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
-
-/// \brief Capacity-bounded blocking queue. `Push` blocks while full, which
-/// is the library's backpressure mechanism.
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
-
-  /// \brief Blocks until space is available; returns false iff closed.
-  bool Push(T item) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock,
-                     [&] { return items_.size() < capacity_ || closed_; });
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// \brief Non-blocking push; returns false when full or closed.
-  bool TryPush(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// \brief Blocks until an item is available or closed-and-drained.
-  std::optional<T> Pop() {
-    std::optional<T> item;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-      if (items_.empty()) return std::nullopt;
-      item = std::move(items_.front());
-      items_.pop_front();
-    }
-    not_full_.notify_one();
-    return item;
-  }
-
-  void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  size_t capacity() const { return capacity_; }
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
   bool closed_ = false;
 };

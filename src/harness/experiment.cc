@@ -77,16 +77,6 @@ namespace {
 /// to each query a scheme will actually execute).
 Status ValidateServedQuery(Scheme scheme, const QueryConfig& query) {
   DECO_RETURN_NOT_OK(query.Validate());
-  if (query.window.measure != WindowMeasure::kCount) {
-    return Status::NotSupported(
-        "the experiment harness drives count-based windows (the paper's "
-        "subject); use the windowing library directly for time windows");
-  }
-  if (query.window.type == WindowType::kSession) {
-    return Status::NotSupported(
-        "session windows have no fixed size; the harness drives count "
-        "windows (use the windowing library directly)");
-  }
   if (scheme == Scheme::kApprox &&
       query.window.type == WindowType::kSliding) {
     return Status::NotSupported(

@@ -1,6 +1,7 @@
 #include "node/query.h"
 
 #include <numeric>
+#include <string>
 
 namespace deco {
 
@@ -13,10 +14,8 @@ uint64_t ProtocolWindowLength(const WindowSpec& window) {
 
 void EncodeQueryConfig(const QueryConfig& config, BinaryWriter* writer) {
   writer->PutU8(static_cast<uint8_t>(config.window.type));
-  writer->PutU8(static_cast<uint8_t>(config.window.measure));
   writer->PutU64(config.window.length);
   writer->PutU64(config.window.slide);
-  writer->PutI64(config.window.session_gap);
   writer->PutU8(static_cast<uint8_t>(config.aggregate));
   writer->PutDouble(config.quantile_q);
 }
@@ -24,13 +23,18 @@ void EncodeQueryConfig(const QueryConfig& config, BinaryWriter* writer) {
 Result<QueryConfig> DecodeQueryConfig(BinaryReader* reader) {
   QueryConfig config;
   DECO_ASSIGN_OR_RETURN(uint8_t type, reader->GetU8());
-  DECO_ASSIGN_OR_RETURN(uint8_t measure, reader->GetU8());
+  if (type > static_cast<uint8_t>(WindowType::kSliding)) {
+    return Status::InvalidArgument("unknown window type " +
+                                   std::to_string(type));
+  }
   config.window.type = static_cast<WindowType>(type);
-  config.window.measure = static_cast<WindowMeasure>(measure);
   DECO_ASSIGN_OR_RETURN(config.window.length, reader->GetU64());
   DECO_ASSIGN_OR_RETURN(config.window.slide, reader->GetU64());
-  DECO_ASSIGN_OR_RETURN(config.window.session_gap, reader->GetI64());
   DECO_ASSIGN_OR_RETURN(uint8_t agg, reader->GetU8());
+  if (agg > static_cast<uint8_t>(AggregateKind::kQuantile)) {
+    return Status::InvalidArgument("unknown aggregate kind " +
+                                   std::to_string(agg));
+  }
   config.aggregate = static_cast<AggregateKind>(agg);
   DECO_ASSIGN_OR_RETURN(config.quantile_q, reader->GetDouble());
   DECO_RETURN_NOT_OK(config.Validate());

@@ -332,95 +332,69 @@ std::string OpsServer::RenderMetrics() const {
   }
 
   if (options_.fabric != nullptr) {
-    const size_t n = options_.fabric->node_count();
+    const FleetScan scan = ScanFleet(*options_.fabric);
+    const size_t n = scan.node_count;
     if (!options_.governance.Collapsed(n)) {
       const struct {
         const char* name;
         const char* help;
+        const std::vector<uint64_t>& values;
       } kSeries[] = {
-          {"deco_node_queue_depth", "Mailbox backlog per node."},
-          {"deco_node_messages_sent", "Cumulative egress messages per node."},
-          {"deco_node_bytes_sent", "Cumulative egress bytes per node."},
+          {"deco_node_queue_depth", "Mailbox backlog per node.",
+           scan.queue_depth},
+          {"deco_node_messages_sent", "Cumulative egress messages per node.",
+           scan.messages_sent},
+          {"deco_node_bytes_sent", "Cumulative egress bytes per node.",
+           scan.bytes_sent},
           {"deco_node_messages_received",
-           "Cumulative ingress messages per node."},
-          {"deco_node_down", "1 while the node is failed/down."},
+           "Cumulative ingress messages per node.", scan.messages_received},
+          {"deco_node_down", "1 while the node is failed/down.", scan.down},
       };
       for (const auto& series : kSeries) {
         out += std::string("# HELP ") + series.name + " " + series.help + "\n";
         out += std::string("# TYPE ") + series.name + " gauge\n";
         for (NodeId id = 0; id < n; ++id) {
-          const std::string label =
-              "{node=\"" + PromLabelValue(options_.fabric->node_name(id)) +
-              "\"} ";
-          uint64_t value = 0;
-          if (std::strcmp(series.name, "deco_node_queue_depth") == 0) {
-            value = options_.fabric->queue_depth(id);
-          } else if (std::strcmp(series.name, "deco_node_down") == 0) {
-            value = options_.fabric->IsNodeDown(id) ? 1 : 0;
-          } else {
-            const NodeTrafficStats stats = options_.fabric->node_stats(id);
-            if (std::strcmp(series.name, "deco_node_messages_sent") == 0) {
-              value = stats.messages_sent;
-            } else if (std::strcmp(series.name, "deco_node_bytes_sent") == 0) {
-              value = stats.bytes_sent;
-            } else {
-              value = stats.messages_received;
-            }
-          }
-          out += series.name + label + std::to_string(value) + "\n";
+          out += std::string(series.name) + "{node=\"" +
+                 PromLabelValue(options_.fabric->node_name(id)) + "\"} " +
+                 std::to_string(series.values[id]) + "\n";
         }
       }
     } else {
       // Cardinality governance (DESIGN.md §13): the per-node families
-      // collapse into fleet summaries built from one bounded scalar pass,
+      // collapse into fleet summaries built from the one bounded scan,
       // plus top-k offender series that keep the per-node label shape.
-      std::vector<uint64_t> depths(n), sent_bytes(n);
-      QuantileSketch depth_sketch, sent_sketch, bytes_sketch, recv_sketch;
-      uint64_t sent_sum = 0, bytes_sum = 0, recv_sum = 0, depth_sum = 0;
-      uint64_t down = 0;
-      for (NodeId id = 0; id < n; ++id) {
-        depths[id] = options_.fabric->queue_depth(id);
-        const NodeTrafficStats stats = options_.fabric->node_stats(id);
-        sent_bytes[id] = stats.bytes_sent;
-        depth_sum += depths[id];
-        sent_sum += stats.messages_sent;
-        bytes_sum += stats.bytes_sent;
-        recv_sum += stats.messages_received;
-        depth_sketch.Add(static_cast<double>(depths[id]));
-        sent_sketch.Add(static_cast<double>(stats.messages_sent));
-        bytes_sketch.Add(static_cast<double>(stats.bytes_sent));
-        recv_sketch.Add(static_cast<double>(stats.messages_received));
-        if (options_.fabric->IsNodeDown(id)) ++down;
-      }
       out += "# HELP deco_fleet_nodes Fleet size under cardinality "
              "governance.\n";
       out += "# TYPE deco_fleet_nodes gauge\n";
       out += "deco_fleet_nodes " + std::to_string(n) + "\n";
       out += "# HELP deco_fleet_nodes_down Nodes currently failed/down.\n";
       out += "# TYPE deco_fleet_nodes_down gauge\n";
-      out += "deco_fleet_nodes_down " + std::to_string(down) + "\n";
+      out += "deco_fleet_nodes_down " + std::to_string(scan.nodes_down) +
+             "\n";
       AppendFleetSummary(&out, "deco_fleet_queue_depth",
-                         "Fleet mailbox backlog distribution.", depth_sketch,
-                         depth_sum);
+                         "Fleet mailbox backlog distribution.",
+                         scan.queue_depth_sketch, scan.total_queue_depth);
       AppendFleetSummary(&out, "deco_fleet_messages_sent",
-                         "Fleet egress message distribution.", sent_sketch,
-                         sent_sum);
+                         "Fleet egress message distribution.",
+                         scan.messages_sent_sketch, scan.total_messages_sent);
       AppendFleetSummary(&out, "deco_fleet_bytes_sent",
-                         "Fleet egress byte distribution.", bytes_sketch,
-                         bytes_sum);
+                         "Fleet egress byte distribution.",
+                         scan.bytes_sent_sketch, scan.total_bytes_sent);
       AppendFleetSummary(&out, "deco_fleet_messages_received",
-                         "Fleet ingress message distribution.", recv_sketch,
-                         recv_sum);
+                         "Fleet ingress message distribution.",
+                         scan.messages_received_sketch,
+                         scan.total_messages_received);
 
       const size_t k = options_.governance.top_k;
       AppendOffenderSeries(&out, "deco_node_queue_depth",
                            "Mailbox backlog, top-k deepest offenders.",
-                           options_.fabric, TopKIndices(depths, k), depths);
+                           options_.fabric, TopKIndices(scan.queue_depth, k),
+                           scan.queue_depth);
       AppendOffenderSeries(&out, "deco_node_bytes_sent",
                            "Cumulative egress bytes, top-k heaviest "
                            "offenders.",
-                           options_.fabric, TopKIndices(sent_bytes, k),
-                           sent_bytes);
+                           options_.fabric, TopKIndices(scan.bytes_sent, k),
+                           scan.bytes_sent);
       if (options_.sampler != nullptr) {
         const auto stalest = options_.sampler->StalestNodes(k);
         out += "# HELP deco_node_silent_for_nanos Nanoseconds since node "
@@ -513,10 +487,9 @@ std::string OpsServer::RenderHealthz() const {
   size_t nodes_down = 0;
   size_t node_count = 0;
   if (options_.fabric != nullptr) {
-    node_count = options_.fabric->node_count();
-    for (NodeId id = 0; id < node_count; ++id) {
-      if (options_.fabric->IsNodeDown(id)) ++nodes_down;
-    }
+    const FleetScan scan = ScanFleet(*options_.fabric);
+    node_count = scan.node_count;
+    nodes_down = scan.nodes_down;
   }
   std::vector<Alert> alerts;
   size_t active = 0;
@@ -605,25 +578,10 @@ std::string OpsServer::RenderStatusz() const {
       table_ids.resize(n);
       for (NodeId id = 0; id < n; ++id) table_ids[id] = id;
     } else {
-      std::vector<uint64_t> depths(n), sent_bytes(n);
-      QuantileSketch depth_sketch, bytes_sketch;
-      uint64_t depth_sum = 0, sent_sum = 0, bytes_sum = 0, recv_sum = 0;
-      uint64_t down = 0;
-      for (NodeId id = 0; id < n; ++id) {
-        depths[id] = options_.fabric->queue_depth(id);
-        const NodeTrafficStats stats = options_.fabric->node_stats(id);
-        sent_bytes[id] = stats.bytes_sent;
-        depth_sum += depths[id];
-        sent_sum += stats.messages_sent;
-        bytes_sum += stats.bytes_sent;
-        recv_sum += stats.messages_received;
-        depth_sketch.Add(static_cast<double>(depths[id]));
-        bytes_sketch.Add(static_cast<double>(stats.bytes_sent));
-        if (options_.fabric->IsNodeDown(id)) ++down;
-      }
+      const FleetScan scan = ScanFleet(*options_.fabric);
       const size_t k = options_.governance.top_k;
-      const std::vector<uint32_t> deep = TopKIndices(depths, k);
-      const std::vector<uint32_t> heavy = TopKIndices(sent_bytes, k);
+      const std::vector<uint32_t> deep = TopKIndices(scan.queue_depth, k);
+      const std::vector<uint32_t> heavy = TopKIndices(scan.bytes_sent, k);
       table_ids.insert(table_ids.end(), deep.begin(), deep.end());
       table_ids.insert(table_ids.end(), heavy.begin(), heavy.end());
       if (options_.sampler != nullptr) {
@@ -636,27 +594,27 @@ std::string OpsServer::RenderStatusz() const {
       table_ids.erase(std::unique(table_ids.begin(), table_ids.end()),
                       table_ids.end());
       out += ",\"nodes_truncated\":true,\"fleet\":{\"nodes_down\":";
-      JsonAppendU64(&out, down);
+      JsonAppendU64(&out, scan.nodes_down);
       out += ",\"queue_depth\":{\"sum\":";
-      JsonAppendU64(&out, depth_sum);
+      JsonAppendU64(&out, scan.total_queue_depth);
       out += ",\"max\":";
-      JsonAppendDouble(&out, depth_sketch.max());
+      JsonAppendDouble(&out, scan.queue_depth_sketch.max());
       out += ",\"p50\":";
-      JsonAppendDouble(&out, depth_sketch.Quantile(0.5));
+      JsonAppendDouble(&out, scan.queue_depth_sketch.Quantile(0.5));
       out += ",\"p99\":";
-      JsonAppendDouble(&out, depth_sketch.Quantile(0.99));
+      JsonAppendDouble(&out, scan.queue_depth_sketch.Quantile(0.99));
       out += "},\"bytes_sent\":{\"sum\":";
-      JsonAppendU64(&out, bytes_sum);
+      JsonAppendU64(&out, scan.total_bytes_sent);
       out += ",\"max\":";
-      JsonAppendDouble(&out, bytes_sketch.max());
+      JsonAppendDouble(&out, scan.bytes_sent_sketch.max());
       out += ",\"p50\":";
-      JsonAppendDouble(&out, bytes_sketch.Quantile(0.5));
+      JsonAppendDouble(&out, scan.bytes_sent_sketch.Quantile(0.5));
       out += ",\"p99\":";
-      JsonAppendDouble(&out, bytes_sketch.Quantile(0.99));
+      JsonAppendDouble(&out, scan.bytes_sent_sketch.Quantile(0.99));
       out += "},\"messages_sent\":";
-      JsonAppendU64(&out, sent_sum);
+      JsonAppendU64(&out, scan.total_messages_sent);
       out += ",\"messages_received\":";
-      JsonAppendU64(&out, recv_sum);
+      JsonAppendU64(&out, scan.total_messages_received);
       out += "}";
       if (options_.sampler != nullptr) {
         const Sampler::Offenders offenders =

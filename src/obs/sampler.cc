@@ -41,6 +41,38 @@ FleetMetricSummary Summarize(const QuantileSketch& sketch, uint64_t sum) {
 
 }  // namespace
 
+FleetScan ScanFleet(const NetworkFabric& fabric) {
+  FleetScan scan;
+  const size_t n = fabric.node_count();
+  scan.node_count = n;
+  scan.queue_depth.resize(n);
+  scan.messages_sent.resize(n);
+  scan.bytes_sent.resize(n);
+  scan.messages_received.resize(n);
+  scan.down.resize(n);
+  for (NodeId id = 0; id < n; ++id) {
+    const uint64_t depth = fabric.queue_depth(id);
+    const NodeTrafficStats traffic = fabric.node_stats(id);
+    scan.queue_depth[id] = depth;
+    scan.messages_sent[id] = traffic.messages_sent;
+    scan.bytes_sent[id] = traffic.bytes_sent;
+    scan.messages_received[id] = traffic.messages_received;
+    scan.down[id] = fabric.IsNodeDown(id) ? 1 : 0;
+    scan.nodes_down += scan.down[id];
+    scan.total_queue_depth += depth;
+    scan.total_messages_sent += traffic.messages_sent;
+    scan.total_bytes_sent += traffic.bytes_sent;
+    scan.total_messages_received += traffic.messages_received;
+    scan.total_bytes_received += traffic.bytes_received;
+    scan.queue_depth_sketch.Add(static_cast<double>(depth));
+    scan.messages_sent_sketch.Add(static_cast<double>(traffic.messages_sent));
+    scan.bytes_sent_sketch.Add(static_cast<double>(traffic.bytes_sent));
+    scan.messages_received_sketch.Add(
+        static_cast<double>(traffic.messages_received));
+  }
+  return scan;
+}
+
 Sampler::Sampler(Clock* clock, NetworkFabric* fabric,
                  MetricRegistry* registry, TimeNanos interval_nanos,
                  SimScheduler* sim)
@@ -62,48 +94,38 @@ TelemetrySample Sampler::SampleNow() {
     tick = tick_count_++;
   }
   if (fabric_ != nullptr) {
-    const size_t n = fabric_->node_count();
+    // Scalar pass: constant work per node. Feeds the fleet aggregates and
+    // the staleness watch whether or not detail is governed.
+    const FleetScan scan = ScanFleet(*fabric_);
+    const size_t n = scan.node_count;
     const bool collapsed = governance_.Collapsed(n);
     sample.fleet.node_count = n;
     sample.fleet.collapsed = collapsed;
-
-    // Scalar pass: constant work per node, no allocation in the loop
-    // body beyond the pre-sized arrays. Feeds the fleet aggregates and
-    // the staleness watch whether or not detail is governed.
-    std::vector<uint64_t> depths(n), sent(n), sent_bytes(n);
-    std::vector<TimeNanos> silent_for(n, 0);
-    QuantileSketch depth_sketch, sent_sketch, bytes_sketch;
+    sample.fleet.nodes_down = scan.nodes_down;
+    sample.fleet.total_messages_sent = scan.total_messages_sent;
+    sample.fleet.total_bytes_sent = scan.total_bytes_sent;
+    sample.fleet.total_messages_received = scan.total_messages_received;
+    sample.fleet.total_bytes_received = scan.total_bytes_received;
+    sample.fleet.queue_depth =
+        Summarize(scan.queue_depth_sketch, scan.total_queue_depth);
+    sample.fleet.messages_sent =
+        Summarize(scan.messages_sent_sketch, scan.total_messages_sent);
+    sample.fleet.bytes_sent =
+        Summarize(scan.bytes_sent_sketch, scan.total_bytes_sent);
+    std::vector<uint64_t> silent_for(n, 0);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (watch_.size() < n) watch_.resize(n);
       for (NodeId id = 0; id < n; ++id) {
-        depths[id] = fabric_->queue_depth(id);
-        const NodeTrafficStats traffic = fabric_->node_stats(id);
-        sent[id] = traffic.messages_sent;
-        sent_bytes[id] = traffic.bytes_sent;
-        sample.fleet.total_messages_sent += traffic.messages_sent;
-        sample.fleet.total_bytes_sent += traffic.bytes_sent;
-        sample.fleet.total_messages_received += traffic.messages_received;
-        sample.fleet.total_bytes_received += traffic.bytes_received;
-        if (fabric_->IsNodeDown(id)) ++sample.fleet.nodes_down;
         NodeWatch& watch = watch_[id];
-        if (tick == 0 || traffic.messages_sent != watch.last_sent) {
-          watch.last_sent = traffic.messages_sent;
+        if (tick == 0 || scan.messages_sent[id] != watch.last_sent) {
+          watch.last_sent = scan.messages_sent[id];
           watch.last_change_nanos = sample.t_nanos;
         }
-        silent_for[id] = sample.t_nanos - watch.last_change_nanos;
-        depth_sketch.Add(static_cast<double>(depths[id]));
-        sent_sketch.Add(static_cast<double>(sent[id]));
-        bytes_sketch.Add(static_cast<double>(sent_bytes[id]));
+        silent_for[id] =
+            static_cast<uint64_t>(sample.t_nanos - watch.last_change_nanos);
       }
     }
-    uint64_t depth_sum = 0;
-    for (uint64_t d : depths) depth_sum += d;
-    sample.fleet.queue_depth = Summarize(depth_sketch, depth_sum);
-    sample.fleet.messages_sent =
-        Summarize(sent_sketch, sample.fleet.total_messages_sent);
-    sample.fleet.bytes_sent =
-        Summarize(bytes_sketch, sample.fleet.total_bytes_sent);
 
     // Detail pass: every node when ungoverned (byte-identical to the
     // pre-governance sampler); a strided subset plus the current top-k
@@ -117,13 +139,9 @@ TelemetrySample Sampler::SampleNow() {
       const size_t phase = static_cast<size_t>(tick % stride);
       for (NodeId id = phase; id < n; id += stride) detail_ids.push_back(id);
       const size_t k = governance_.top_k;
-      std::vector<uint64_t> silent(n);
-      for (NodeId id = 0; id < n; ++id) {
-        silent[id] = static_cast<uint64_t>(silent_for[id]);
-      }
-      const std::vector<NodeId> deep = TopKIndices(depths, k);
-      const std::vector<NodeId> heavy = TopKIndices(sent_bytes, k);
-      const std::vector<NodeId> stale = TopKIndices(silent, k);
+      const std::vector<NodeId> deep = TopKIndices(scan.queue_depth, k);
+      const std::vector<NodeId> heavy = TopKIndices(scan.bytes_sent, k);
+      const std::vector<NodeId> stale = TopKIndices(silent_for, k);
       detail_ids.insert(detail_ids.end(), deep.begin(), deep.end());
       detail_ids.insert(detail_ids.end(), heavy.begin(), heavy.end());
       detail_ids.insert(detail_ids.end(), stale.begin(), stale.end());
@@ -141,7 +159,7 @@ TelemetrySample Sampler::SampleNow() {
       NodeSample node;
       node.node = id;
       node.name = fabric_->node_name(id);
-      node.queue_depth = depths[id];
+      node.queue_depth = scan.queue_depth[id];
       const NodeTrafficStats traffic = fabric_->node_stats(id);
       node.messages_sent = traffic.messages_sent;
       node.bytes_sent = traffic.bytes_sent;

@@ -78,6 +78,32 @@ struct FleetSample {
   FleetMetricSummary bytes_sent;
 };
 
+/// \brief One walk over the fabric's per-node scalars, indexed by `NodeId`,
+/// with their fleet totals, quantile sketches and the down count. The
+/// sampler's scalar pass and the ops surfaces all render from it.
+struct FleetScan {
+  size_t node_count = 0;
+  uint64_t nodes_down = 0;
+  std::vector<uint64_t> queue_depth;
+  std::vector<uint64_t> messages_sent;
+  std::vector<uint64_t> bytes_sent;
+  std::vector<uint64_t> messages_received;
+  std::vector<uint64_t> down;  ///< 1 while the node is down, else 0
+  uint64_t total_queue_depth = 0;
+  uint64_t total_messages_sent = 0;
+  uint64_t total_bytes_sent = 0;
+  uint64_t total_messages_received = 0;
+  uint64_t total_bytes_received = 0;
+  QuantileSketch queue_depth_sketch;
+  QuantileSketch messages_sent_sketch;
+  QuantileSketch bytes_sent_sketch;
+  QuantileSketch messages_received_sketch;
+};
+
+/// \brief Reads `queue_depth`, `node_stats` and `IsNodeDown` once for every
+/// node of `fabric`. Constant work per node.
+FleetScan ScanFleet(const NetworkFabric& fabric);
+
 /// \brief One point of the telemetry time series.
 struct TelemetrySample {
   TimeNanos t_nanos = 0;

@@ -106,12 +106,6 @@ class QueryRegistry {
   /// \brief True when any query has a scheduled runtime add or remove.
   bool HasRuntimeSchedule() const;
 
-  /// \brief True when the layer is doing more than the legacy single
-  /// always-on query.
-  bool MultiQuery() const {
-    return queries_.size() > 1 || HasRuntimeSchedule();
-  }
-
   /// \brief Estimated steady-state extra wire bytes per stream event from
   /// the non-primary slots (the quantity `max_extra_bytes_per_event`
   /// bounds).

@@ -123,10 +123,6 @@ Status SimScheduler::RunUntilTaskDone(SimTaskId id) {
   return Run(RunMode::kUntilTaskDone, id);
 }
 
-Status SimScheduler::RunUntilQuiescent() {
-  return Run(RunMode::kUntilQuiescent, kInvalidSimTask);
-}
-
 Status SimScheduler::DrainAll() {
   return Run(RunMode::kDrainAll, kInvalidSimTask);
 }
@@ -160,14 +156,12 @@ Status SimScheduler::Run(RunMode mode, SimTaskId target) {
           if (task.state != TaskState::kDone) return false;
         }
         return true;
-      case RunMode::kUntilQuiescent:
-        return false;  // decided at the no-progress point below
     }
     return false;
   };
 
   while (true) {
-    if (mode != RunMode::kUntilQuiescent && mode_done()) break;
+    if (mode_done()) break;
 
     // A registered task whose thread has not yet reached TaskMain is a
     // startup race the simulation must not observe: wait for it to check
@@ -246,10 +240,7 @@ Status SimScheduler::Run(RunMode mode, SimTaskId target) {
       continue;
     }
 
-    // 4. Nothing runnable and nothing due: quiesced, advance time, or
-    //    deadlock.
-    if (mode == RunMode::kUntilQuiescent) break;
-
+    // 4. Nothing runnable and nothing due: advance time, or deadlock.
     TimeNanos next = -1;
     if (!events_.empty()) next = events_.top().at;
     for (const Task& task : tasks_) {

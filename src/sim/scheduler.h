@@ -32,8 +32,7 @@
 /// `(config, seed)`: byte-identical reports, byte counters and message
 /// orders on every replay, on any machine, under any sanitizer.
 ///
-/// The driver loop (one of `RunUntilTaskDone` / `RunUntilQuiescent` /
-/// `DrainAll`) repeats:
+/// The driver loop (`RunUntilTaskDone` or `DrainAll`) repeats:
 ///   1. fire the earliest due timer event (ties broken by schedule order);
 ///   2. re-check every blocked task's wake predicate / deadline;
 ///   3. if any task is runnable, pick one with the seeded PRNG and hand it
@@ -74,10 +73,6 @@ class SimScheduler {
   /// `Internal` on deadlock and `DeadlineExceeded` when the virtual-time
   /// limit is hit.
   Status RunUntilTaskDone(SimTaskId id);
-
-  /// \brief Runs until no task is runnable and no timer event is due —
-  /// i.e. nothing can make progress without more input or time.
-  Status RunUntilQuiescent();
 
   /// \brief Runs until every registered task has finished. All remaining
   /// waits must be unblockable (closed queues, finite deadlines).
@@ -177,7 +172,7 @@ class SimScheduler {
     }
   };
 
-  enum class RunMode { kUntilTaskDone, kUntilQuiescent, kDrainAll };
+  enum class RunMode { kUntilTaskDone, kDrainAll };
 
   Status Run(RunMode mode, SimTaskId target);
   std::string BlockedTaskNamesLocked() const;

@@ -303,27 +303,6 @@ TEST(BlockingQueueTest, ConcurrentProducersConsumers) {
   EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
 }
 
-TEST(BoundedQueueTest, BlocksProducerWhenFull) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));  // full
-  std::thread producer([&] { EXPECT_TRUE(q.Push(3)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(q.Pop().value(), 1);  // frees a slot, unblocks producer
-  producer.join();
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(BoundedQueueTest, CloseUnblocksProducer) {
-  BoundedQueue<int> q(1);
-  q.Push(1);
-  std::thread producer([&] { EXPECT_FALSE(q.Push(2)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.Close();
-  producer.join();
-}
-
 // --------------------------------------------------------------- Logging
 
 TEST(LoggingTest, LevelGating) {

@@ -201,6 +201,25 @@ TEST(ProtocolTest, QueryConfigDecodeValidates) {
   EncodeQueryConfig(config, &writer);
   BinaryReader reader(writer.buffer());
   EXPECT_FALSE(DecodeQueryConfig(&reader).ok());
+
+  // Enum bytes are range-checked: a window type or aggregate kind the
+  // codec does not know must not decode as some valid query.
+  const auto decode_raw = [](uint8_t type, uint8_t agg) {
+    BinaryWriter raw;
+    raw.PutU8(type);
+    raw.PutU64(100);  // length
+    raw.PutU64(100);  // slide
+    raw.PutU8(agg);
+    raw.PutDouble(0.5);
+    BinaryReader raw_reader(raw.buffer());
+    return DecodeQueryConfig(&raw_reader).status();
+  };
+  EXPECT_TRUE(decode_raw(0, 0).ok());
+  EXPECT_TRUE(decode_raw(1, 6).ok());
+  EXPECT_TRUE(decode_raw(2, 0).IsInvalidArgument());
+  EXPECT_TRUE(decode_raw(7, 0).IsInvalidArgument());
+  EXPECT_TRUE(decode_raw(0, 7).IsInvalidArgument());
+  EXPECT_TRUE(decode_raw(0, 9).IsInvalidArgument());
 }
 
 // ------------------------------------------------------------ Apportion

@@ -88,7 +88,7 @@ void BM_BinaryEncodeBatch(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * events.size() *
                           kBinaryEventSize);
 }
-BENCHMARK(BM_BinaryEncodeBatch)->Arg(256)->Arg(4096);
+BENCHMARK(BM_BinaryEncodeBatch)->Arg(256)->Arg(4096)->Arg(8192);
 
 void BM_BinaryDecodeBatch(benchmark::State& state) {
   const EventVec events = MakeEvents(state.range(0));
@@ -102,7 +102,7 @@ void BM_BinaryDecodeBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * events.size());
 }
-BENCHMARK(BM_BinaryDecodeBatch)->Arg(256)->Arg(4096);
+BENCHMARK(BM_BinaryDecodeBatch)->Arg(256)->Arg(4096)->Arg(8192);
 
 void BM_TextEncodeBatch(benchmark::State& state) {
   const EventVec events = MakeEvents(state.range(0));
@@ -186,25 +186,43 @@ void BM_StreamSetMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamSetMerge)->Arg(4)->Arg(16);
 
-void BM_RootMergerPop(benchmark::State& state) {
-  const size_t kNodes = state.range(0);
-  RootMerger merger(kNodes);
-  std::vector<EventVec> batches(kNodes);
-  for (size_t n = 0; n < kNodes; ++n) {
+// Per-node batches of 1024 events whose timestamps interleave round-robin
+// across `nodes`: every merge run is one event long, the worst case.
+std::vector<EventVec> InterleavedBatches(size_t nodes) {
+  std::vector<EventVec> batches(nodes);
+  for (size_t n = 0; n < nodes; ++n) {
     for (int i = 0; i < 1024; ++i) {
       Event e;
       e.id = i;
       e.stream_id = static_cast<StreamId>(n);
-      e.timestamp = static_cast<EventTime>(i * kNodes + n);
+      e.timestamp = static_cast<EventTime>(i * nodes + n);
       batches[n].push_back(e);
     }
   }
+  return batches;
+}
+
+// A merge over `batches` with every node at end-of-stream. Each timed pass
+// takes a fresh one: the batches' timestamps restart at 0, so appending
+// them to a merge that already consumed a pass would reorder the runs.
+RootMerger FinishedMerge(const std::vector<EventVec>& batches) {
+  RootMerger merger(batches.size());
+  for (size_t n = 0; n < batches.size(); ++n) {
+    merger.Append(n, batches[n], 0.0);
+    merger.MarkEos(n);
+  }
+  return merger;
+}
+
+void BM_RootMergerPop(benchmark::State& state) {
+  const size_t kNodes = state.range(0);
+  const std::vector<EventVec> batches = InterleavedBatches(kNodes);
   Event e;
   double create = 0;
   size_t node = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    for (size_t n = 0; n < kNodes; ++n) merger.Append(n, batches[n], 0.0);
+    RootMerger merger = FinishedMerge(batches);
     state.ResumeTiming();
     while (merger.PopNext(&e, &create, &node)) {
     }
@@ -212,6 +230,28 @@ void BM_RootMergerPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kNodes * 1024);
 }
 BENCHMARK(BM_RootMergerPop)->Arg(2)->Arg(8);
+
+// Central's root path: drain merge runs into a 100k-event window buffer,
+// cutting runs at the window edge.
+void BM_RootMergerDrainRuns(benchmark::State& state) {
+  const size_t kNodes = state.range(0);
+  constexpr size_t kWindow = 100'000;
+  const std::vector<EventVec> batches = InterleavedBatches(kNodes);
+  EventVec window;
+  window.reserve(kWindow);
+  RootMerger::Run run;
+  for (auto _ : state) {
+    state.PauseTiming();
+    RootMerger merger = FinishedMerge(batches);
+    state.ResumeTiming();
+    while (merger.NextRun(kWindow - window.size(), &run)) {
+      window.insert(window.end(), run.begin, run.end);
+      if (window.size() == kWindow) window.clear();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kNodes * 1024);
+}
+BENCHMARK(BM_RootMergerDrainRuns)->Arg(2)->Arg(8);
 
 void BM_FabricSendReceive(benchmark::State& state) {
   NetworkFabric fabric(SystemClock::Default(), 1);

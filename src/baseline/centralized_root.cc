@@ -1,6 +1,7 @@
 #include "baseline/centralized_root.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "obs/metric_registry.h"
@@ -24,10 +25,11 @@ CentralizedRoot::CentralizedRoot(NetworkFabric* fabric, NodeId id,
 Status CentralizedRoot::Run() {
   DECO_ASSIGN_OR_RETURN(func_,
                         MakeAggregate(query_.aggregate, query_.quantile_q));
-  // The buffered sort-then-aggregate engine below emits once per `length`
-  // events — tumbling semantics. Sliding windows overlap, so Central must
-  // run the real window operator too (found by tests/differential_test.cc:
-  // Central used to silently treat sliding specs as tumbling).
+  // The buffered engine below (aggregate at window end) emits once per
+  // `length` events — tumbling semantics. Sliding windows overlap, so
+  // Central must run the real window operator too (found by
+  // tests/differential_test.cc: Central used to silently treat sliding
+  // specs as tumbling).
   if (mode_ != CentralizedMode::kCentral ||
       query_.window.type == WindowType::kSliding) {
     DECO_ASSIGN_OR_RETURN(windower_, MakeWindower(query_.window, func_.get()));
@@ -132,34 +134,35 @@ Status CentralizedRoot::HandleBatch(const Message& msg) {
 }
 
 Status CentralizedRoot::DrainMerger() {
-  Event event;
-  double create_nanos = 0.0;
-  size_t from_node = 0;
-  while (merger_.PopNext(&event, &create_nanos, &from_node)) {
-    if (windower_ == nullptr) {
+  RootMerger::Run run;
+  if (windower_ == nullptr) {
+    // Runs are cut at the window edge, so each lands in one window.
+    while (merger_.NextRun(query_.window.length - window_buffer_.size(),
+                           &run)) {
+      BufferRun(run);
+    }
+    return Status::OK();
+  }
+  while (merger_.NextRun(SIZE_MAX, &run)) {
+    for (const Event* e = run.begin; e != run.end; ++e) {
       DECO_RETURN_NOT_OK(
-          ProcessEventBuffered(event, create_nanos, from_node));
-    } else {
-      DECO_RETURN_NOT_OK(
-          ProcessEventIncremental(event, create_nanos, from_node));
+          ProcessEventIncremental(*e, run.create_wall_nanos, run.node));
     }
   }
   return Status::OK();
 }
 
-Status CentralizedRoot::ProcessEventBuffered(const Event& event,
-                                             double create_nanos,
-                                             size_t from_node) {
-  window_buffer_.push_back(event);
-  create_sum_ += create_nanos;
-  ++open_events_;
-  ++node_counts_[from_node];
-  if (window_buffer_.size() < query_.window.length) return Status::OK();
+void CentralizedRoot::BufferRun(const RootMerger::Run& run) {
+  window_buffer_.insert(window_buffer_.end(), run.begin, run.end);
+  const size_t n = run.size();
+  create_sum_ += run.create_wall_nanos * static_cast<double>(n);
+  open_events_ += n;
+  node_counts_[run.node] += n;
+  if (window_buffer_.size() < query_.window.length) return;
 
-  // Window ends: the straightforward engine sorts the collected events
-  // (window operator model, paper §3) and aggregates them all at once.
-  std::stable_sort(window_buffer_.begin(), window_buffer_.end(),
-                   EventTimestampLess());
+  // Window ends: aggregate every collected event at once. The window
+  // operator model (paper §3) sorts the window first; the merger already
+  // filled the buffer in that global order, so there is nothing to sort.
   Partial partial = func_->CreatePartial();
   for (const Event& e : window_buffer_) func_->Accumulate(&partial, e.value);
   const double value = func_->Finalize(partial);
@@ -167,7 +170,6 @@ Status CentralizedRoot::ProcessEventBuffered(const Event& event,
              create_sum_ / static_cast<double>(open_events_),
              window_buffer_.back().timestamp);
   window_buffer_.clear();
-  return Status::OK();
 }
 
 Status CentralizedRoot::ProcessEventIncremental(const Event& event,

@@ -19,8 +19,9 @@
 ///
 ///  - **Central**: collects raw events into the window and "executes
 ///    aggregation functions individually for all events, once the window
-///    ends" — buffered, non-incremental, with the window-model stable sort
-///    at the edge. Analog of stock Flink/Spark count windows.
+///    ends" — buffered, non-incremental. The window buffer fills in merged
+///    global order, so the window model's sort is already done when the
+///    window ends. Analog of stock Flink/Spark count windows.
 ///  - **Scotty**: same raw-event ingest but *incremental* aggregation via
 ///    the stream-slicing windower, sharing partials between concurrent
 ///    (sliding) windows.
@@ -68,8 +69,9 @@ class CentralizedRoot final : public Actor {
 
   Status HandleBatch(const Message& msg);
   Status DrainMerger();
-  Status ProcessEventBuffered(const Event& event, double create_nanos,
-                              size_t from_node);
+  /// Central: appends one merged run (never crossing the window edge) to
+  /// the window buffer and aggregates the buffer when the window ends.
+  void BufferRun(const RootMerger::Run& run);
   Status ProcessEventIncremental(const Event& event, double create_nanos,
                                  size_t from_node);
   void EmitWindow(double value, uint64_t event_count, double mean_create,

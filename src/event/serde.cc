@@ -6,6 +6,47 @@
 
 namespace deco {
 
+namespace {
+
+// The binary event layout, written and read in place. `out`/`in` point at
+// kBinaryEventSize bytes.
+constexpr size_t kStreamOffset = sizeof(uint64_t);
+constexpr size_t kValueOffset = kStreamOffset + sizeof(uint32_t);
+constexpr size_t kTimestampOffset = kValueOffset + sizeof(double);
+
+void StoreEvent(const Event& e, char* out) {
+  std::memcpy(out, &e.id, sizeof(e.id));
+  std::memcpy(out + kStreamOffset, &e.stream_id, sizeof(e.stream_id));
+  std::memcpy(out + kValueOffset, &e.value, sizeof(e.value));
+  std::memcpy(out + kTimestampOffset, &e.timestamp, sizeof(e.timestamp));
+}
+
+void LoadEvent(const char* in, Event* e) {
+  std::memcpy(&e->id, in, sizeof(e->id));
+  std::memcpy(&e->stream_id, in + kStreamOffset, sizeof(e->stream_id));
+  std::memcpy(&e->value, in + kValueOffset, sizeof(e->value));
+  std::memcpy(&e->timestamp, in + kTimestampOffset, sizeof(e->timestamp));
+}
+
+}  // namespace
+
+void BinaryWriter::PutEvent(const Event& e) {
+  char bytes[kBinaryEventSize];
+  StoreEvent(e, bytes);
+  PutRaw(bytes, sizeof(bytes));
+}
+
+void BinaryWriter::PutEvents(const EventVec& events) {
+  PutU64(events.size());
+  const size_t base = buf_.size();
+  buf_.resize(base + events.size() * kBinaryEventSize);
+  char* out = buf_.data() + base;
+  for (const Event& e : events) {
+    StoreEvent(e, out);
+    out += kBinaryEventSize;
+  }
+}
+
 Status BinaryReader::ReadRaw(void* out, size_t n) {
   if (pos_ + n > buf_.size()) {
     return Status::OutOfRange("binary buffer underflow: need " +
@@ -58,25 +99,27 @@ Result<std::string> BinaryReader::GetString() {
 }
 
 Result<Event> BinaryReader::GetEvent() {
+  char bytes[kBinaryEventSize];
+  DECO_RETURN_NOT_OK(ReadRaw(bytes, sizeof(bytes)));
   Event e;
-  DECO_ASSIGN_OR_RETURN(e.id, GetU64());
-  DECO_ASSIGN_OR_RETURN(e.stream_id, GetU32());
-  DECO_ASSIGN_OR_RETURN(e.value, GetDouble());
-  DECO_ASSIGN_OR_RETURN(e.timestamp, GetI64());
+  LoadEvent(bytes, &e);
   return e;
 }
 
 Result<EventVec> BinaryReader::GetEvents() {
   DECO_ASSIGN_OR_RETURN(uint64_t n, GetU64());
+  // Division, not multiplication: a hostile count cannot overflow the
+  // check.
   if (n > remaining() / kBinaryEventSize) {
     return Status::OutOfRange("event count exceeds buffer size");
   }
-  EventVec events;
-  events.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    DECO_ASSIGN_OR_RETURN(Event e, GetEvent());
-    events.push_back(e);
+  EventVec events(n);
+  const char* in = buf_.data() + pos_;
+  for (Event& e : events) {
+    LoadEvent(in, &e);
+    in += kBinaryEventSize;
   }
+  pos_ += n * kBinaryEventSize;
   return events;
 }
 

@@ -19,6 +19,11 @@
 
 namespace deco {
 
+/// \brief Size in bytes of one event in the binary format: id (u64),
+/// stream id (u32), value (double), timestamp (i64), little-endian, packed.
+inline constexpr size_t kBinaryEventSize =
+    sizeof(uint64_t) + sizeof(uint32_t) + sizeof(double) + sizeof(int64_t);
+
 /// \brief Growable byte sink for binary encoding.
 class BinaryWriter {
  public:
@@ -34,17 +39,11 @@ class BinaryWriter {
     buf_.append(s);
   }
 
-  void PutEvent(const Event& e) {
-    PutU64(e.id);
-    PutU32(e.stream_id);
-    PutDouble(e.value);
-    PutI64(e.timestamp);
-  }
+  void PutEvent(const Event& e);
 
-  void PutEvents(const EventVec& events) {
-    PutU64(events.size());
-    for (const Event& e : events) PutEvent(e);
-  }
+  /// \brief Count-prefixed batch: a u64 count, then the packed events.
+  /// Sizes the buffer once and copies the fields in one tight loop.
+  void PutEvents(const EventVec& events);
 
   const std::string& buffer() const { return buf_; }
   std::string Release() { return std::move(buf_); }
@@ -69,6 +68,10 @@ class BinaryReader {
   Result<double> GetDouble();
   Result<std::string> GetString();
   Result<Event> GetEvent();
+
+  /// \brief Reads a `PutEvents` batch. The count is checked against the
+  /// remaining bytes once, before anything is allocated; the events are
+  /// then copied out without further checks.
   Result<EventVec> GetEvents();
 
   /// \brief Bytes not yet consumed.
@@ -80,10 +83,6 @@ class BinaryReader {
   const std::string& buf_;
   size_t pos_ = 0;
 };
-
-/// \brief Size in bytes of one event in the binary format.
-inline constexpr size_t kBinaryEventSize =
-    sizeof(uint64_t) + sizeof(uint32_t) + sizeof(double) + sizeof(int64_t);
 
 /// \brief Verbose text encoding of one event, Disco-style:
 /// "event;id=<id>;stream=<sid>;value=<v>;timestamp=<ts>".

@@ -373,7 +373,16 @@ TEST(ChaosIntegrationTest, DecoSyncCrashRestartRecovers) {
   auto chaos = RunExperiment(config);
   ASSERT_TRUE(chaos.ok()) << chaos.status().ToString();
   ASSERT_EQ(audit.size(), 2u);  // both actions fired before the run ended
+  const ChaosAuditEntry& crash = audit[0];
+  const ChaosAuditEntry& restart = audit[1];
+  ASSERT_EQ(crash.kind, FaultKind::kCrash);
+  ASSERT_EQ(restart.kind, FaultKind::kRestart);
 
+  // Detection and rejoin are timed from when the crash and the restart
+  // actually fired. The audit log and the membership timeline read the
+  // same clock; the root's start_wall_nanos does not share the chaos
+  // controller's origin, so offsets from it shift with thread scheduling.
+  //
   // (a) Crash detected by the per-node timeout (paper §4.3.4): the removal
   // lands after crash + timeout, and within a generous scheduling margin
   // (the root checks timeouts on a timeout/4 receive cadence).
@@ -381,8 +390,7 @@ TEST(ChaosIntegrationTest, DecoSyncCrashRestartRecovers) {
   const MembershipEvent& removal = chaos->membership.front();
   EXPECT_FALSE(removal.rejoined);
   EXPECT_EQ(removal.node, 1u);
-  const TimeNanos detect_offset =
-      removal.at_nanos - chaos->start_wall_nanos - kCrashAt;
+  const TimeNanos detect_offset = removal.at_nanos - crash.fired_at_nanos;
   EXPECT_GE(detect_offset, config.root_options.node_timeout_nanos / 2);
   EXPECT_LE(detect_offset,
             2 * config.root_options.node_timeout_nanos +
@@ -393,7 +401,7 @@ TEST(ChaosIntegrationTest, DecoSyncCrashRestartRecovers) {
   const MembershipEvent& rejoin = chaos->membership[1];
   EXPECT_TRUE(rejoin.rejoined);
   EXPECT_EQ(rejoin.node, 1u);
-  EXPECT_GE(rejoin.at_nanos - chaos->start_wall_nanos, kRestartAt);
+  EXPECT_GE(rejoin.at_nanos, restart.fired_at_nanos);
   const ConsumptionLog& consumption = chaos->consumption;
   uint64_t node1_tail = 0;
   const size_t tail_start =
@@ -414,7 +422,12 @@ TEST(ChaosIntegrationTest, DecoSyncCrashRestartRecovers) {
 TEST(ChaosIntegrationTest, DecoAsyncCrashRestartRejoins) {
   ExperimentConfig config = ChaosBaseConfig();
   config.scheme = Scheme::kDecoAsync;
-  config.events_per_local = 6'000'000;  // ~1.5 s: restart@800ms lands mid-run
+  // Paced to 2M ev/s per local: the throttle's bucket starts with one
+  // second of tokens, so the 6M-event stream lasts at least 2 s and
+  // restart@800ms lands mid-run. Unpaced, a run with few corrections
+  // finished all its events before the restart fired.
+  config.events_per_local = 6'000'000;
+  config.cpu_events_per_sec = 2'000'000;
   config.chaos.schedule =
       ChaosSchedule().Crash("local-1", kCrashAt).Restart("local-1",
                                                          kRestartAt);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 #include "event/event.h"
 #include "event/serde.h"
@@ -119,6 +121,103 @@ TEST(BinarySerdeTest, HugeEventCountIsRejectedNotAllocated) {
   writer.PutU64(1ull << 60);  // absurd count with no bytes behind it
   BinaryReader reader(writer.buffer());
   EXPECT_TRUE(reader.GetEvents().status().IsOutOfRange());
+}
+
+// Lowercase hex of a byte string, for readable byte-level comparisons.
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
+}
+
+EventVec MakeBatch(size_t n) {
+  EventVec events;
+  events.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    events.push_back(MakeEvent(i * 3 + 1, static_cast<StreamId>(i % 5),
+                               static_cast<double>(i) * -0.25,
+                               1'000'000 + static_cast<EventTime>(i)));
+  }
+  return events;
+}
+
+TEST(BinarySerdeTest, BatchWireBytesAreFixed) {
+  // The layout every binary-codec peer relies on: u64 count, then per
+  // event u64 id, u32 stream, f64 value, i64 timestamp, little-endian.
+  const EventVec events = {
+      MakeEvent(1, 2, 1.5, 3),
+      MakeEvent(0x0102030405060708ull, 0xA0B0C0D0u, -2.0, -1)};
+  BinaryWriter writer;
+  writer.PutEvents(events);
+  EXPECT_EQ(Hex(writer.buffer()),
+            "0200000000000000"
+            "0100000000000000" "02000000" "000000000000f83f"
+            "0300000000000000"
+            "0807060504030201" "d0c0b0a0" "00000000000000c0"
+            "ffffffffffffffff");
+  // The single-event writer produces the same per-event bytes.
+  BinaryWriter single;
+  single.PutU64(events.size());
+  for (const Event& e : events) single.PutEvent(e);
+  EXPECT_EQ(single.buffer(), writer.buffer());
+}
+
+TEST(BinarySerdeTest, BatchRoundTripAtSizeBoundaries) {
+  for (size_t n : {0, 1, 8191, 8192}) {
+    const EventVec events = MakeBatch(n);
+    BinaryWriter writer;
+    writer.PutU8(0x5a);  // a batch need not start the buffer
+    writer.PutEvents(events);
+    writer.PutU8(0xa5);  // nor end it
+    EXPECT_EQ(writer.size(), 2 + sizeof(uint64_t) + n * kBinaryEventSize);
+    BinaryReader reader(writer.buffer());
+    EXPECT_EQ(reader.GetU8().value(), 0x5a);
+    EXPECT_EQ(reader.GetEvents().value(), events) << "n=" << n;
+    EXPECT_EQ(reader.GetU8().value(), 0xa5);
+    EXPECT_TRUE(reader.AtEnd());
+  }
+}
+
+TEST(BinarySerdeTest, EveryStrictPrefixOfABatchIsOutOfRange) {
+  BinaryWriter writer;
+  writer.PutEvents(MakeBatch(3));
+  const std::string& full = writer.buffer();
+  for (size_t len = 0; len < full.size(); ++len) {
+    // A copy of exactly `len` bytes, so a read past its end is a heap
+    // overflow under AddressSanitizer.
+    const std::string prefix = full.substr(0, len);
+    BinaryReader reader(prefix);
+    EXPECT_TRUE(reader.GetEvents().status().IsOutOfRange()) << "len=" << len;
+  }
+}
+
+TEST(BinarySerdeTest, EventCountBeyondTheBufferIsRejected) {
+  const EventVec events = MakeBatch(4);
+  BinaryWriter body;
+  for (const Event& e : events) body.PutEvent(e);
+  body.PutU8(0);  // a spare byte: not enough for a fifth event
+  const std::string bytes = body.buffer();
+  const uint64_t remaining = bytes.size();
+  for (uint64_t count : {remaining / kBinaryEventSize + 1,
+                         static_cast<uint64_t>(UINT64_MAX)}) {
+    BinaryWriter writer;
+    writer.PutU64(count);
+    std::string buffer = writer.Release() + bytes;
+    BinaryReader reader(buffer);
+    EXPECT_TRUE(reader.GetEvents().status().IsOutOfRange())
+        << "count=" << count;
+  }
+  // The largest count the bytes hold still decodes.
+  BinaryWriter writer;
+  writer.PutU64(remaining / kBinaryEventSize);
+  const std::string buffer = writer.Release() + bytes;
+  BinaryReader reader(buffer);
+  EXPECT_EQ(reader.GetEvents().value(), events);
+  EXPECT_EQ(reader.remaining(), 1u);
 }
 
 // ----------------------------------------------------------- Text serde
